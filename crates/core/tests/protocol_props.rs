@@ -10,7 +10,7 @@ use aqf_core::wire::{
     Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest, PRIMARY_GROUP,
     SECONDARY_GROUP,
 };
-use aqf_core::{CausalServerGateway, FifoServerGateway, InfoRepository};
+use aqf_core::{CausalServerGateway, FifoServerGateway, InfoRepository, ServerProtocol};
 use aqf_group::{View, ViewId};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -42,35 +42,7 @@ fn primary() -> ServerGateway {
 
 /// Drains StartService actions synchronously with a fixed 1 ms service
 /// time, returning all follow-up actions.
-fn drain(gw: &mut ServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
-    while let Some(pos) = actions
-        .iter()
-        .position(|x| matches!(x, ServerAction::StartService { .. }))
-    {
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        gw.on_service_start(token, now);
-        actions.extend(gw.on_service_done(token, now + SimDuration::from_millis(1)));
-    }
-}
-
-/// As [`drain`], for the FIFO gateway.
-fn drain_fifo(gw: &mut FifoServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
-    while let Some(pos) = actions
-        .iter()
-        .position(|x| matches!(x, ServerAction::StartService { .. }))
-    {
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        gw.on_service_start(token, now);
-        actions.extend(gw.on_service_done(token, now + SimDuration::from_millis(1)));
-    }
-}
-
-/// As [`drain`], for the causal gateway.
-fn drain_causal(gw: &mut CausalServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
+fn drain(gw: &mut impl ServerProtocol, actions: &mut Vec<ServerAction>, now: SimTime) {
     while let Some(pos) = actions
         .iter()
         .position(|x| matches!(x, ServerAction::StartService { .. }))
@@ -370,9 +342,9 @@ proptest! {
             for (step, (i, attempt)) in events.into_iter().enumerate() {
                 let now = SimTime::from_millis(step as u64);
                 actions.extend(gw.on_payload(a(20), update_payload(i, attempt), now));
-                drain_fifo(&mut gw, &mut actions, now);
+                drain(&mut gw, &mut actions, now);
             }
-            drain_fifo(&mut gw, &mut actions, SimTime::from_secs(1));
+            drain(&mut gw, &mut actions, SimTime::from_secs(1));
             let log: Vec<RequestId> = gw.applied_log().collect();
             (gw.object().snapshot(), gw.version(), log, gw.stats().dedup_hits)
         };
@@ -429,9 +401,9 @@ proptest! {
                     deps: Vec::new(),
                 };
                 actions.extend(gw.on_payload(a(20), payload, now));
-                drain_causal(&mut gw, &mut actions, now);
+                drain(&mut gw, &mut actions, now);
             }
-            drain_causal(&mut gw, &mut actions, SimTime::from_secs(1));
+            drain(&mut gw, &mut actions, SimTime::from_secs(1));
             (gw.object().snapshot(), gw.version(), gw.vector_snapshot(), gw.stats().dedup_hits)
         };
 
