@@ -842,7 +842,6 @@ fn make_gateway(
         min_primary_size: config.min_primary_size,
         overload: config.overload.clone(),
         storage,
-        ..ServerConfig::default()
     };
     match config.ordering {
         OrderingGuarantee::Fifo => Box::new(FifoServerGateway::new(
