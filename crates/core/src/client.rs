@@ -284,8 +284,8 @@ pub struct ClientStats {
     pub quarantines: u64,
     /// CDF-engine queries answered from cache (no convolution work).
     pub cdf_cache_hits: u64,
-    /// CDF-engine evaluator refreshes (cache misses requiring a shift
-    /// and/or convolution).
+    /// CDF-engine queries that had to rebuild at least one cached layer
+    /// (a shift and/or convolution); one per query, however many layers.
     pub cdf_cache_misses: u64,
     /// `S⊛W` base convolutions performed — at most one per window
     /// generation per replica; the quantity Figure 3 bills at ~90% of the
@@ -506,7 +506,7 @@ impl ClientGateway {
         let cache = self.repo.cache_stats();
         ClientStats {
             cdf_cache_hits: cache.hits,
-            cdf_cache_misses: cache.misses(),
+            cdf_cache_misses: cache.misses,
             cdf_base_rebuilds: cache.base_rebuilds,
             ..self.stats
         }

@@ -49,11 +49,12 @@ pub struct MonitorConfig {
     /// Optional bin width (µs) applied to cached response-time pmfs.
     ///
     /// An `S⊛W` convolution of two windows of size `l` has up to `l²`
-    /// support points and the deferred path convolves once more (up to
-    /// `l³`); binning onto multiples of this width caps that growth for
-    /// large windows. Rounding up makes every binned CDF a lower bound of
-    /// the exact one, so selection stays conservative. `None` (the
-    /// default) keeps the exact distributions.
+    /// support points. The deferred path convolves once more, but builds
+    /// only the points up to the queried deadline; binning onto multiples
+    /// of this width caps the support growth of both for large windows.
+    /// Rounding up makes every binned CDF a lower bound of the exact one,
+    /// so selection stays conservative. `None` (the default) keeps the
+    /// exact distributions.
     pub cdf_bin_us: Option<u64>,
 }
 
@@ -76,6 +77,9 @@ pub struct CdfCacheStats {
     /// CDF evaluations answered entirely from a cached pmf (a binary-search
     /// prefix-sum lookup, no convolution).
     pub hits: u64,
+    /// CDF evaluations that had to rebuild at least one cached layer (one
+    /// per query, however many layers it rebuilt).
+    pub misses: u64,
     /// `S⊛W` base convolutions performed (at most one per window
     /// generation — the paper's "computation of the response time
     /// distribution function", ~90% of Figure 3's overhead).
@@ -89,14 +93,9 @@ pub struct CdfCacheStats {
 }
 
 impl CdfCacheStats {
-    /// Queries that required any rebuild work.
-    pub fn misses(&self) -> u64 {
-        self.immediate_rebuilds + self.deferred_rebuilds
-    }
-
     /// Total CDF evaluations served (hits + misses).
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses()
+        self.hits + self.misses
     }
 }
 
@@ -106,8 +105,9 @@ impl CdfCacheStats {
 /// Layout mirrors the two-stage computation: `base = S⊛W` is shared by the
 /// immediate and deferred paths, `immediate = base.shift(G)` adds the
 /// gateway point mass, and `deferred = immediate ⊛ U` adds the
-/// deferred-wait window. Each layer is invalidated independently, so e.g. a
-/// new gateway delay re-shifts the cached base without re-convolving.
+/// deferred-wait window, built only up to the deadline that was queried.
+/// Each layer is invalidated independently, so e.g. a new gateway delay
+/// re-shifts the cached base without re-convolving.
 #[derive(Debug, Clone, Default)]
 struct CdfCache {
     /// `(s.generation, w.generation)` the base was computed at.
@@ -120,8 +120,12 @@ struct CdfCache {
     immediate: Option<Pmf>,
     /// `(s, w, gateway_us, u.generation)` of the deferred pmf.
     deferred_key: Option<(u64, u64, u64, u64)>,
-    /// Cached `immediate ⊛ U` (binned when configured).
+    /// Cached `immediate ⊛ U` up to `deferred_complete` (binned when
+    /// configured).
     deferred: Option<Pmf>,
+    /// The frontier of `deferred`: its CDF is exact at every deadline at
+    /// or below this one (see [`Pmf::convolve_upto`]).
+    deferred_complete: u64,
 }
 
 /// Per-replica performance history.
@@ -347,7 +351,8 @@ impl InfoRepository {
         let Some(rec) = self.replicas.get(&replica) else {
             return 0.0;
         };
-        self.with_response_pmf(rec, false, |pmf| pmf.cdf(d.as_micros()))
+        let d = d.as_micros();
+        self.with_response_pmf(rec, false, d, |pmf| pmf.cdf(d))
             .unwrap_or(0.0)
     }
 
@@ -358,7 +363,8 @@ impl InfoRepository {
         let Some(rec) = self.replicas.get(&replica) else {
             return 0.0;
         };
-        self.with_response_pmf(rec, true, |pmf| pmf.cdf(d.as_micros()))
+        let d = d.as_micros();
+        self.with_response_pmf(rec, true, d, |pmf| pmf.cdf(d))
             .unwrap_or(0.0)
     }
 
@@ -375,17 +381,22 @@ impl InfoRepository {
     /// 3. `deferred = immediate ⊛ U`, additionally keyed by
     ///    `u.generation` — it reuses the cached shifted base instead of
     ///    re-running the `S⊛W` convolution `immediate_cdf` just performed.
+    ///    It is built only up to `limit` (the deadline `f` reads at), and a
+    ///    later query rebuilds it only when its deadline lies past the
+    ///    frontier the last build reached.
     ///
     /// A query against unchanged windows therefore costs one key compare
     /// plus whatever `f` does (for the CDF evaluators: a binary-searched
     /// prefix-sum lookup). Results are bit-identical to the from-scratch
     /// computation (see [`Self::response_pmf_uncached`]) because the cached
     /// pipeline performs exactly the same floating-point operations in the
-    /// same order, just not repeatedly.
+    /// same order, just not repeatedly, and `f` reads the deferred pmf at
+    /// or below its frontier only. The immediate path ignores `limit`.
     fn with_response_pmf<T>(
         &self,
         rec: &ReplicaRecord,
         deferred: bool,
+        limit: u64,
         f: impl FnOnce(&Pmf) -> T,
     ) -> Option<T> {
         if rec.s.is_empty() || rec.w.is_empty() || (deferred && rec.u.is_empty()) {
@@ -412,7 +423,7 @@ impl InfoRepository {
         let immediate_key = (base_key.0, base_key.1, gateway);
         let deferred_key = (base_key.0, base_key.1, gateway, rec.u.generation());
         let hit = if deferred {
-            cache.deferred_key == Some(deferred_key)
+            cache.deferred_key == Some(deferred_key) && limit <= cache.deferred_complete
         } else {
             cache.immediate_key == Some(immediate_key)
         };
@@ -425,16 +436,21 @@ impl InfoRepository {
         if !hit && deferred {
             let u = Pmf::from_samples(rec.u.iter());
             let immediate = cache.immediate.as_ref().expect("immediate ensured above");
-            let mut pmf = immediate.convolve(&u);
+            // Binning after truncating is exact below the frontier: bins
+            // round up, so a bin at or below `x` holds only points `<= x`.
+            let (mut pmf, complete) = immediate.convolve_upto(&u, limit);
             if let Some(bin) = self.config.cdf_bin_us {
                 pmf = pmf.binned(bin);
             }
             cache.deferred = Some(pmf);
             cache.deferred_key = Some(deferred_key);
+            cache.deferred_complete = complete;
             stats.deferred_rebuilds += 1;
         }
         if hit {
             stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
         self.cache_stats.set(stats);
         let pmf = if deferred {
@@ -449,7 +465,7 @@ impl InfoRepository {
     /// diagnostics). `deferred` selects Eq. 6 over Eq. 5. Served from the
     /// cache (cloning the cached pmf), refreshing stale layers on the way.
     pub fn response_pmf(&self, rec: &ReplicaRecord, deferred: bool) -> Option<Pmf> {
-        self.with_response_pmf(rec, deferred, Pmf::clone)
+        self.with_response_pmf(rec, deferred, u64::MAX, Pmf::clone)
     }
 
     /// From-scratch recomputation of the response-time pmf, bypassing (and
@@ -659,6 +675,55 @@ mod tests {
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(599)), 0.0);
         // 100 (S) + 0 (W) + 500 (U) = 600ms: all deferred mass is there.
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(600)), 1.0);
+    }
+
+    #[test]
+    fn deferred_layer_rebuilds_only_past_its_frontier() {
+        let now = SimTime::from_secs(1);
+        let rebuilds = |repo: &InfoRepository| repo.cache_stats().deferred_rebuilds;
+        // S = 100 ms, W = 10 ms, U = 50 ms: the deferred pmf's only point
+        // lies at 160 ms.
+        let mut sweep = repo();
+        sweep.record_perf(r(1), &perf(100_000, 10_000, 50_000), now);
+        // A descending sweep builds the whole layer at its first query.
+        for deadline_ms in (1..200u64).rev() {
+            sweep.deferred_cdf(r(1), SimDuration::from_millis(deadline_ms));
+        }
+        assert_eq!(rebuilds(&sweep), 1);
+
+        // A query at 1 ms builds nothing and leaves the layer exact up to
+        // 159.999 ms, so a query there hits; 160 ms lies past it.
+        let mut probe = repo();
+        probe.record_perf(r(1), &perf(100_000, 10_000, 50_000), now);
+        assert_eq!(probe.deferred_cdf(r(1), SimDuration::from_millis(1)), 0.0);
+        assert_eq!(
+            probe.deferred_cdf(r(1), SimDuration::from_micros(159_999)),
+            0.0
+        );
+        assert_eq!((rebuilds(&probe), probe.cache_stats().hits), (1, 1));
+        assert_eq!(probe.deferred_cdf(r(1), SimDuration::from_millis(160)), 1.0);
+        assert_eq!(rebuilds(&probe), 2);
+
+        // Shaped like paper-read: U (up to 2 s) far past the deadline.
+        let mut wide = repo();
+        for i in 0..20u64 {
+            wide.record_perf(
+                r(1),
+                &perf(40_000 + 3_000 * i, 1_000 * i, 100_000 * (i + 1)),
+                now,
+            );
+        }
+        let d = 160_000u64;
+        wide.deferred_cdf(r(1), SimDuration::from_micros(d));
+        let rec = wide.replica_record(r(1)).unwrap();
+        let full = wide.response_pmf_uncached(rec, true).unwrap();
+        let cached_support = rec.cache.borrow().deferred.as_ref().unwrap().support_len();
+        let below = full.iter().filter(|&(v, _)| v <= d).count();
+        assert!(cached_support <= below, "{cached_support} > {below}");
+        assert!(below < full.support_len());
+        // Asking for the whole pmf rebuilds it past the truncation.
+        assert_eq!(wide.response_pmf(rec, true), Some(full));
+        assert_eq!(rebuilds(&wide), 2);
     }
 
     #[test]

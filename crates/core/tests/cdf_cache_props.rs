@@ -166,10 +166,13 @@ fn one_base_convolution_per_window_generation() {
     let stats = repo.cache_stats();
     assert_eq!(stats.base_rebuilds, 1, "one S⊛W per window generation");
     assert_eq!(stats.immediate_rebuilds, 1);
-    assert_eq!(stats.deferred_rebuilds, 1);
-    // 199 immediate + 199 deferred queries; 2 were rebuild misses.
+    // The deferred layer is built up to the queried deadline: at 1 ms it
+    // holds nothing and is exact up to 159.999 ms; the 160 ms query, where
+    // its only point lies, extends it once.
+    assert_eq!(stats.deferred_rebuilds, 2);
+    // 199 immediate + 199 deferred queries; 3 were rebuild misses.
     assert_eq!(stats.lookups(), 398);
-    assert_eq!(stats.hits, 396);
+    assert_eq!(stats.hits, 395);
 
     // A new measurement starts a new generation: exactly one more base
     // convolution, however many queries follow.
@@ -202,6 +205,8 @@ fn deferred_path_shares_base_with_immediate() {
     assert_eq!(stats.base_rebuilds, 1, "no second convolution");
     assert_eq!(stats.immediate_rebuilds, 1);
     assert_eq!(stats.hits, 1);
+    // The cold deferred query rebuilt two layers but is one miss.
+    assert_eq!(stats.lookups(), 2);
 }
 
 /// A new gateway delay (recorded by `record_reply`) must invalidate the

@@ -13,8 +13,9 @@
 //! of size `l` costs `O(l^2 log l)` — this cost is exactly what the paper's
 //! Figure 3 measures as "computation of the response time distribution
 //! function" (90% of the selection overhead). The convolution runs as a
-//! k-way merge over the product grid's rows, so it never materializes the
-//! `l^2` pair table that a sort-based implementation needs.
+//! k-way merge over the shorter side of the product grid, so it never
+//! materializes the `l^2` pair table that a sort-based implementation
+//! needs, and it can stop at a bound past which the caller reads nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -203,61 +204,81 @@ impl Pmf {
     /// Convolving with an empty pmf yields an empty pmf (the sum of an
     /// unknown quantity is unknown).
     pub fn convolve(&self, other: &Pmf) -> Pmf {
+        self.convolve_upto(other, u64::MAX).0
+    }
+
+    /// The convolution with `other` restricted to sums `<= limit`, plus the
+    /// frontier `complete` up to which the result is exact.
+    ///
+    /// The returned pmf holds exactly the points of [`Self::convolve`] at
+    /// or below `limit`, with bit-identical probabilities, so its `cdf(x)`
+    /// equals the full convolution's for every `x <= complete`. `complete`
+    /// is one below the smallest sum the merge did not reach (the full
+    /// convolution has no point in `(limit, complete]`), or `u64::MAX` when
+    /// the merge ran out. A caller that only reads the CDF at a deadline —
+    /// Algorithm 1 reads `F^D_Ri(d)` and nothing else — never pays for the
+    /// tail of the distribution past it.
+    pub fn convolve_upto(&self, other: &Pmf, limit: u64) -> (Pmf, u64) {
         if self.is_empty() || other.is_empty() {
-            return Pmf::with_points(Vec::new());
+            return (Pmf::with_points(Vec::new()), u64::MAX);
         }
         // Row `i` of the product grid — `(v1_i + v2_j, p1_i * p2_j)` for
-        // `j` in `0..l2` — is already sorted by sum because `other.points`
-        // is sorted. A k-way merge over the rows therefore emits sums in
-        // order without materializing (or sorting) the full `l1 * l2` pair
-        // table the previous implementation built. Ties on the sum pop by
-        // smallest row index, and each row keeps exactly one candidate in
-        // the heap at a time, so equal sums accumulate in exactly the
-        // `(i, j)` generation order the former stable-sort (and the
-        // `BTreeMap` before it) used — bit-identical probabilities. This is
-        // the hottest function of the whole evaluation pipeline
-        // (response-time model rebuilds).
+        // `j` in `0..l2` — is sorted by sum because `other.points` is
+        // sorted, and so is every column. A k-way merge over whichever side
+        // is shorter (one heap entry per row, streaming along its columns,
+        // or one per column, streaming down its rows) emits sums in order
+        // without materializing the `l1 * l2` pair table. Every stream is
+        // sorted by the heap key `(sum, row, col)`, so pairs pop in the
+        // same `(sum, row, col)` order either way: equal sums accumulate
+        // row-major, the generation order of the `BTreeMap` accumulator the
+        // merge replaced — bit-identical probabilities. This is the hottest
+        // function of the whole evaluation pipeline (response-time model
+        // rebuilds).
         let rows = &self.points;
         let cols = &other.points;
-        // A single-column right side is a pure shift-and-scale: no merge
-        // state needed, and the accumulation order is trivially preserved.
-        if cols.len() == 1 {
-            let (v2, p2) = cols[0];
-            return Pmf::with_points(
-                rows.iter()
-                    .map(|&(v1, p1)| (v1.saturating_add(v2), p1 * p2))
-                    .collect(),
-            );
-        }
-        // `next_col[i]` is the column of row `i`'s entry currently in the
-        // heap; heap entries carry only `(sum, row)` to stay `Ord`.
-        let mut next_col = vec![0usize; rows.len()];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(rows.len());
-        for (i, &(v1, _)) in rows.iter().enumerate() {
-            heap.push(Reverse((v1.saturating_add(cols[0].0), i)));
+        let by_col = cols.len() < rows.len();
+        let pair_sum = |i: usize, j: usize| rows[i].0.saturating_add(cols[j].0);
+        let first_of = |k: usize| if by_col { (0, k) } else { (k, 0) };
+        let streams = if by_col { cols.len() } else { rows.len() };
+        // Streams are seeded in increasing order of their first sum; those
+        // starting past `limit` are never merged, and the first of them
+        // bounds the frontier.
+        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::with_capacity(streams);
+        let mut complete = u64::MAX;
+        for k in 0..streams {
+            let (i, j) = first_of(k);
+            let sum = pair_sum(i, j);
+            if sum > limit {
+                complete = sum - 1;
+                break;
+            }
+            heap.push(Reverse((sum, i, j)));
         }
         let mut points: Vec<(u64, f64)> =
             Vec::with_capacity((rows.len() * cols.len()).min(CONVOLVE_RESERVE_CAP));
         // Replace-top (`peek_mut`) instead of pop+push: one sift per emitted
-        // term instead of two, and a term whose row successor is still the
-        // minimum costs only the comparison against its children.
+        // term instead of two, and a term whose stream successor is still
+        // the minimum costs only the comparison against its children.
         while let Some(mut top) = heap.peek_mut() {
-            let Reverse((sum, i)) = *top;
-            let j = next_col[i];
+            let Reverse((sum, i, j)) = *top;
+            if sum > limit {
+                complete = complete.min(sum - 1);
+                break;
+            }
             let p = rows[i].1 * cols[j].1;
             match points.last_mut() {
                 Some(last) if last.0 == sum => last.1 += p,
                 _ => points.push((sum, p)),
             }
-            if j + 1 < cols.len() {
-                next_col[i] = j + 1;
-                *top = Reverse((rows[i].0.saturating_add(cols[j + 1].0), i));
+            let (i, j) = if by_col { (i + 1, j) } else { (i, j + 1) };
+            if i < rows.len() && j < cols.len() {
+                *top = Reverse((pair_sum(i, j), i, j));
                 // `top` drops here and sifts the replaced entry down.
             } else {
                 std::collections::binary_heap::PeekMut::pop(top);
             }
         }
-        Pmf::with_points(points)
+        (Pmf::with_points(points), complete)
     }
 
     /// Shifts the distribution right by a constant (convolution with a point
@@ -367,6 +388,16 @@ mod tests {
         }
         let n = samples.len() as f64;
         counts.into_iter().map(|(v, c)| (v, c as f64 / n)).collect()
+    }
+
+    /// Reads `(high, x)` as a small sample value `x` (duplicates likely) or,
+    /// when `high`, one close enough to `u64::MAX` that sums saturate.
+    fn near_edge((high, x): (bool, u64)) -> u64 {
+        if high {
+            u64::MAX - x
+        } else {
+            x
+        }
     }
 
     fn assert_bit_identical(actual: &Pmf, expected: &[(u64, f64)]) {
@@ -546,6 +577,51 @@ mod tests {
             let pb = Pmf::from_samples(b.into_iter());
             let expected = convolve_btree_reference(&pa, &pb);
             assert_bit_identical(&pa.convolve(&pb), &expected);
+        }
+
+        #[test]
+        fn convolve_upto_exact_up_to_its_frontier(
+            a in proptest::collection::vec((any::<bool>(), 0u64..5_000), 1..40),
+            b in proptest::collection::vec((any::<bool>(), 0u64..5_000), 1..40),
+            limit in (0u8..3, 0u64..12_000),
+            bin in 1u64..3_000,
+        ) {
+            // Duplicated sample values produce repeated sums, and values
+            // near `u64::MAX` pile saturated sums onto the last point.
+            let pa = Pmf::from_samples(a.into_iter().map(near_edge));
+            let pb = Pmf::from_samples(b.into_iter().map(near_edge));
+            let limit = match limit {
+                (0, x) => x,
+                (1, x) => u64::MAX - x,
+                _ => u64::MAX,
+            };
+            let full = pa.convolve(&pb);
+            let (upto, complete) = pa.convolve_upto(&pb, limit);
+            prop_assert!(complete >= limit);
+            // The frontier is exact: nothing in `(limit, complete]`, and the
+            // next point sits right past it.
+            prop_assert!(full.iter().all(|(v, _)| v <= limit || v > complete));
+            if complete != u64::MAX {
+                prop_assert!(full.iter().any(|(v, _)| v == complete + 1));
+            }
+            let below: Vec<(u64, f64)> = full.iter().filter(|&(v, _)| v <= limit).collect();
+            assert_bit_identical(&upto, &below);
+            // The CDF is a step function, so its value at every `x <=
+            // complete` is one of the values at the support points below
+            // `complete`, just before them, or at `complete` itself.
+            for (truncated, reference) in [
+                (upto.clone(), full.clone()),
+                (upto.binned(bin), full.binned(bin)),
+            ] {
+                let xs = reference
+                    .iter()
+                    .flat_map(|(v, _)| [v.saturating_sub(1), v])
+                    .chain([0, limit, complete])
+                    .filter(|&x| x <= complete);
+                for x in xs {
+                    prop_assert_eq!(truncated.cdf(x).to_bits(), reference.cdf(x).to_bits(), "cdf({}) differs", x);
+                }
+            }
         }
 
         #[test]
